@@ -249,7 +249,7 @@ serve::ChaosOptions storm_options(std::uint64_t seed) {
 // ---------------------------------------------------------------------------
 // E21: network serving (src/net front-end; in-process server, real sockets).
 
-net::ServerConfig net_server_config(const ServeBenchConfig& config) {
+net::ServerConfig net_server_config() {
     net::ServerConfig server;
     server.port = 0;  // ephemeral: the bench never collides with itself
     server.max_conns = 64;
@@ -272,7 +272,7 @@ net::NetReplayOptions net_replay_options(const ServeBenchConfig& config, std::ui
 net::NetReplayReport measure_net(const ServeBenchConfig& config,
                                  const std::vector<serve::TraceRequest>& trace,
                                  std::size_t conns, ThreadPool& pool) {
-    net::ServeServer server(net_server_config(config), pool);
+    net::ServeServer server(net_server_config(), pool);
     server.start();
     const auto report = replay_net(trace, net_replay_options(config, server.port(), conns));
     server.stop();
@@ -399,7 +399,7 @@ int run_net_check(const ServeBenchConfig& config) {
     // failed) and drain the engine cleanly.
     {
         ThreadPool pool(config.threads);
-        net::ServeServer server(net_server_config(config), pool);
+        net::ServeServer server(net_server_config(), pool);
         server.start();
         auto options = net_replay_options(config, server.port(), 4);
         options.epochs = config.epochs * 4;  // enough traffic to straddle the stop

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <future>
 #include <system_error>
@@ -42,6 +43,7 @@ struct ServeServer::Session {
     FrameDecoder decoder;
     bool protocol_error_sent = false;
     bool was_paused = false;
+    bool frames_waiting = false;  ///< dispatch stopped by budget/backpressure, not the decoder
 
     struct OutFrame {
         std::string bytes;
@@ -66,7 +68,10 @@ struct ServeServer::Session {
 // ---------------------------------------------------------------------------
 
 ServeServer::ServeServer(ServerConfig config, ThreadPool& pool)
-    : config_(std::move(config)), pool_(pool), engine_(config_.engine, pool_) {}
+    : config_(std::move(config)),
+      pool_(pool),
+      wake_pipe_(make_nonblocking_pipe()),
+      engine_(config_.engine, pool_, [this] { wake(); }) {}
 
 ServeServer::~ServeServer() { (void)stop(); }
 
@@ -77,14 +82,6 @@ void ServeServer::start() {
     set_nonblocking(listener_.fd.get());
     port_ = listener_.port;
 
-    int pipe_fds[2] = {-1, -1};
-    if (::pipe(pipe_fds) != 0)
-        throw std::system_error(errno, std::generic_category(), "pipe");
-    wake_read_ = FdHandle(pipe_fds[0]);
-    wake_write_ = FdHandle(pipe_fds[1]);
-    set_nonblocking(wake_read_.get());
-    set_nonblocking(wake_write_.get());
-
     stop_requested_.store(false, std::memory_order_release);
     running_.store(true, std::memory_order_release);
     loop_thread_ = std::thread([this] { loop(); });
@@ -92,11 +89,17 @@ void ServeServer::start() {
 
 void ServeServer::request_stop() noexcept {
     stop_requested_.store(true, std::memory_order_release);
-    // write(2) is async-signal-safe; the byte's only job is waking poll().
-    if (wake_write_.valid()) {
-        const ssize_t rc = ::write(wake_write_.get(), "x", 1);
-        (void)rc;  // pipe full means a wake-up is already pending
-    }
+    wake();
+}
+
+void ServeServer::wake() noexcept {
+    // Async-signal-safe (a lock-free exchange and write(2)), so request_stop()
+    // may run in a signal handler.  A set flag means a byte is written or
+    // about to be and the loop has not drained it yet: this wake rides on it.
+    static_assert(std::atomic<bool>::is_always_lock_free);
+    if (wake_pending_.exchange(true)) return;
+    const ssize_t rc = ::write(wake_pipe_.write.get(), "x", 1);
+    (void)rc;  // pipe full means a wake-up is already pending
 }
 
 NetDrainReport ServeServer::stop() {
@@ -120,6 +123,7 @@ NetServerStats ServeServer::stats() const noexcept {
     s.errors_sent = errors_sent_.load(std::memory_order_relaxed);
     s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
     s.backpressure_pauses = backpressure_pauses_.load(std::memory_order_relaxed);
+    s.tick_pickups = tick_pickups_.load(std::memory_order_relaxed);
     s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
     s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
     return s;
@@ -154,13 +158,39 @@ void ServeServer::loop() {
             flush_clock = Stopwatch();
         }
 
+        // --- drain exit condition -----------------------------------------
+        if (draining) {
+            bool all_flushed = true;
+            for (auto& session : sessions_) {
+                pump_futures(*session);
+                flush_session(*session);
+                if (!session->pending.empty() || !session->outbox.empty()) all_flushed = false;
+            }
+            if (all_flushed) {
+                drain_report_.flushed_sessions += sessions_.size();
+                sessions_.clear();
+                break;
+            }
+            if (flush_clock.elapsed_ms() > config_.flush_timeout_ms) {
+                for (auto& session : sessions_)
+                    if (!session->pending.empty() || !session->outbox.empty())
+                        ++drain_report_.forced_sessions;
+                    else
+                        ++drain_report_.flushed_sessions;
+                sessions_.clear();
+                drain_report_.clean = false;
+                break;
+            }
+        }
+
         // --- poll registration --------------------------------------------
         fds.clear();
-        fds.push_back({wake_read_.get(), POLLIN, 0});
+        fds.push_back({wake_pipe_.read.get(), POLLIN, 0});
         const bool accepting = !draining && listener_.fd.valid();
         if (accepting) fds.push_back({listener_.fd.get(), POLLIN, 0});
         const std::size_t session_base = fds.size();
         bool any_pending = false;
+        bool frames_waiting = false;
         for (auto& session : sessions_) {
             short events = 0;
             const bool paused = backpressured(*session);
@@ -169,23 +199,40 @@ void ServeServer::loop() {
             session->was_paused = paused;
             if (!draining && !paused &&
                 (session->state == Session::State::kHandshake ||
-                 session->state == Session::State::kOpen))
+                 session->state == Session::State::kOpen)) {
                 events |= POLLIN;
+                frames_waiting = frames_waiting || session->frames_waiting;
+            }
             if (!session->outbox.empty()) events |= POLLOUT;
             if (!session->pending.empty()) any_pending = true;
             fds.push_back({session->fd.get(), events, 0});
         }
 
-        const int timeout_ms = any_pending ? 1 : (draining ? 5 : 200);
+        // Block until socket I/O, a completion wake or a stop — never on a
+        // timer.  Frames the dispatch budget left buffered make the next
+        // tick immediate; the drain phase is bounded by the flush deadline.
+        int timeout_ms = -1;
+        if (frames_waiting) {
+            timeout_ms = 0;
+        } else if (draining) {
+            const double left_ms = config_.flush_timeout_ms - flush_clock.elapsed_ms();
+            timeout_ms = static_cast<int>(std::clamp(std::ceil(left_ms), 0.0, 60'000.0));
+        }
         const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
         if (rc < 0 && errno != EINTR && errno != EAGAIN) break;  // unrecoverable
+        if (rc == 0 && timeout_ms > 0 && any_pending)
+            tick_pickups_.fetch_add(1, std::memory_order_relaxed);
 
         // --- wake pipe ----------------------------------------------------
+        // Drain, then clear the pending flag, then pump (below): a
+        // completion that saw the flag set resolved its promise before this
+        // clear, so the pump finds it; any later one writes a fresh byte.
         if (fds[0].revents != 0) {
             char buf[64];
-            while (::read(wake_read_.get(), buf, sizeof buf) > 0) {
+            while (::read(wake_pipe_.read.get(), buf, sizeof buf) > 0) {
             }
         }
+        wake_pending_.exchange(false);
 
         // --- accept -------------------------------------------------------
         if (accepting && fds[1].revents != 0) accept_ready();
@@ -213,31 +260,6 @@ void ServeServer::loop() {
                                            return s->closed();
                                        }),
                         sessions_.end());
-
-        // --- drain exit condition -----------------------------------------
-        if (draining) {
-            bool all_flushed = true;
-            for (auto& session : sessions_) {
-                pump_futures(*session);
-                flush_session(*session);
-                if (!session->pending.empty() || !session->outbox.empty()) all_flushed = false;
-            }
-            if (all_flushed) {
-                drain_report_.flushed_sessions += sessions_.size();
-                sessions_.clear();
-                break;
-            }
-            if (flush_clock.elapsed_ms() > config_.flush_timeout_ms) {
-                for (auto& session : sessions_)
-                    if (!session->pending.empty() || !session->outbox.empty())
-                        ++drain_report_.forced_sessions;
-                    else
-                        ++drain_report_.flushed_sessions;
-                sessions_.clear();
-                drain_report_.clean = false;
-                break;
-            }
-        }
     }
 
     drain_report_.clean = drain_report_.clean && drain_report_.engine.clean;
@@ -290,8 +312,16 @@ void ServeServer::read_session(Session& session) {
 
 void ServeServer::process_frames(Session& session) {
     std::size_t handled = 0;
-    while (!session.closed() && session.state != Session::State::kClosing &&
-           handled < config_.max_requests_per_tick && !backpressured(session)) {
+    session.frames_waiting = false;
+    while (!session.closed() && session.state != Session::State::kClosing) {
+        if (handled == config_.max_requests_per_tick || backpressured(session)) {
+            // Stopped by the budget or the queue cap, not the decoder, so
+            // frames may still be buffered.  A zero budget (lint TS0803)
+            // dispatches nothing and must not make the loop spin.
+            session.frames_waiting =
+                config_.max_requests_per_tick > 0 && session.decoder.buffered() > 0;
+            break;
+        }
         auto frame = session.decoder.next();
         if (!frame) break;
         handle_frame(session, frame->type, frame->payload);

@@ -34,9 +34,22 @@
 // when the stop arrived still get typed kDraining responses — a draining
 // server answers everything it ever read, it just refuses to compute more.
 //
+// Completion wake: the engine is built with a completion notifier that
+// writes one byte to the same self-pipe, so a pool worker resolving a
+// request wakes poll() at once; an atomic wake-pending flag collapses a
+// burst of completions into one write(2).  The loop drains the pipe, clears
+// the flag, and only then pumps futures, so no completion is missed, and it
+// blocks in poll() with no timeout except for frames the per-tick budget
+// left buffered (timeout 0) and the drain phase (what is left of
+// `flush_timeout_ms`).  The pipe is created in the constructor and declared
+// before the engine, so a pool closure that still resolves work after a
+// timed-out drain writes into the open pipe, never into a closed or reused
+// fd; ~ServeEngine joins those closures before the pipe closes.
+//
 // Threading: the loop thread exclusively owns all session state; the
 // constructor/start()/stop() run on the owner's thread; cross-thread
-// communication is the stop flag, the wake pipe, and atomic counters.  The
+// communication is the stop flag, the wake pipe and its pending flag, and
+// atomic counters.  The
 // ThreadPool is borrowed (two servers can share one pool; draining one must
 // not disturb the other — tests/test_net.cpp pins it).
 #pragma once
@@ -78,6 +91,10 @@ struct NetServerStats {
     std::uint64_t errors_sent = 0;      ///< Error frames sent (session or request level)
     std::uint64_t protocol_errors = 0;  ///< sessions closed on a malformed stream
     std::uint64_t backpressure_pauses = 0;  ///< read-pause transitions
+    /// poll() calls that ran out a timeout while futures were pending, i.e.
+    /// replies found by a timer instead of a completion wake.  Stays 0
+    /// outside the drain phase, the only place the loop uses a timeout.
+    std::uint64_t tick_pickups = 0;
     std::uint64_t bytes_in = 0;
     std::uint64_t bytes_out = 0;
 };
@@ -131,6 +148,8 @@ private:
     struct Session;
 
     void loop();
+    /// Wake the loop (completion notifier and stop): one byte per burst.
+    void wake() noexcept;
     void accept_ready();
     void read_session(Session& session);
     void process_frames(Session& session);
@@ -144,12 +163,13 @@ private:
 
     ServerConfig config_;
     ThreadPool& pool_;
+    // Declared before engine_, whose notifier writes here (file header).
+    Pipe wake_pipe_;
+    std::atomic<bool> wake_pending_{false};
     serve::ServeEngine engine_;
 
     Listener listener_;
     std::uint16_t port_ = 0;
-    FdHandle wake_read_;
-    FdHandle wake_write_;
 
     std::thread loop_thread_;
     std::atomic<bool> stop_requested_{false};
@@ -167,6 +187,7 @@ private:
     std::atomic<std::uint64_t> errors_sent_{0};
     std::atomic<std::uint64_t> protocol_errors_{0};
     std::atomic<std::uint64_t> backpressure_pauses_{0};
+    std::atomic<std::uint64_t> tick_pickups_{0};
     std::atomic<std::uint64_t> bytes_in_{0};
     std::atomic<std::uint64_t> bytes_out_{0};
 };

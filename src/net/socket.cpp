@@ -76,6 +76,15 @@ void set_nonblocking(int fd) {
     if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) throw_errno("fcntl(F_SETFL)");
 }
 
+Pipe make_nonblocking_pipe() {
+    int fds[2] = {-1, -1};
+    if (::pipe(fds) != 0) throw_errno("pipe");
+    Pipe pipe{FdHandle(fds[0]), FdHandle(fds[1])};
+    set_nonblocking(pipe.read.get());
+    set_nonblocking(pipe.write.get());
+    return pipe;
+}
+
 void set_nodelay(int fd) {
     const int one = 1;
     // Best effort: TCP_NODELAY can legitimately fail on non-TCP fds in

@@ -47,6 +47,15 @@ struct Listener {
     std::uint16_t port = 0;
 };
 
+/// Both ends of a pipe(2), each switched to O_NONBLOCK.
+struct Pipe {
+    FdHandle read;
+    FdHandle write;
+};
+
+/// Create a nonblocking pipe.  Throws std::system_error on failure.
+[[nodiscard]] Pipe make_nonblocking_pipe();
+
 /// Bind + listen on host:port (port 0 = kernel-assigned ephemeral port).
 /// SO_REUSEADDR is set so a restarting server does not trip over
 /// TIME_WAIT.  Throws std::system_error on failure.

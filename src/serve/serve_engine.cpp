@@ -39,13 +39,14 @@ void debug_check_hit([[maybe_unused]] const Schedule& hit,
 
 }  // namespace
 
-ServeEngine::ServeEngine(ServeConfig config, ThreadPool& pool)
+ServeEngine::ServeEngine(ServeConfig config, ThreadPool& pool, CompletionNotifier on_resolved)
     : config_(std::move(config)),
       pool_(pool),
       cache_(std::make_unique<ScheduleCache>(config_.cache_capacity, config_.cache_shards)),
       admission_(AdmissionOptions{config_.max_inflight, config_.max_pending,
                                   config_.shed_policy, config_.enable_dedup}),
       chaos_(config_.chaos),
+      on_resolved_(std::move(on_resolved)),
       lat_total_ms_(metrics_.histogram("serve/latency/total_ms")),
       lat_queue_wait_ms_(metrics_.histogram("serve/latency/queue_wait_ms")),
       lat_cache_lookup_ms_(metrics_.histogram("serve/latency/cache_lookup_ms")),
@@ -296,6 +297,7 @@ void ServeEngine::degrade_inline(ScheduleRequest request, std::uint64_t fp, Wait
     TSCHED_OBS_RECORD_INTO(lat_total_ms_, latency_ms);
     owner.promise.set_value(ServeResult{std::move(result), degraded_fp, false, false, latency_ms,
                                         ServeOutcome::kDegraded});
+    notify_resolved();
 }
 
 void ServeEngine::resolve_ready(Waiter& waiter, const std::shared_ptr<const Schedule>& schedule,
@@ -318,6 +320,7 @@ void ServeEngine::resolve_ready(Waiter& waiter, const std::shared_ptr<const Sche
     TSCHED_OBS_RECORD_INTO(lat_total_ms_, latency_ms);
     waiter.promise.set_value(
         ServeResult{schedule, waiter.fp, cache_hit, waiter.coalesced, latency_ms, outcome});
+    notify_resolved();
 }
 
 void ServeEngine::resolve_outcome(Waiter& waiter, ServeOutcome outcome) {
@@ -339,12 +342,14 @@ void ServeEngine::resolve_outcome(Waiter& waiter, ServeOutcome outcome) {
     }
     waiter.promise.set_value(ServeResult{nullptr, waiter.fp, false, waiter.coalesced,
                                          waiter.submitted.elapsed_ms(), outcome});
+    notify_resolved();
 }
 
 void ServeEngine::resolve_error(Waiter& waiter, const std::exception_ptr& error) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     TSCHED_COUNT("serve/failed");
     waiter.promise.set_exception(error);
+    notify_resolved();
 }
 
 void ServeEngine::resolve_shed_list(std::vector<ShedWaiter>& list) {
@@ -425,12 +430,11 @@ void ServeEngine::own_task_begin() {
 }
 
 void ServeEngine::own_task_end() {
-    {
-        LockGuard lock(own_mutex_);
-        --own_tasks_;
-        if (own_tasks_ != 0) return;
-    }
-    own_cv_.notify_all();
+    // Notify while holding the lock: wait_own_tasks() can only return (and
+    // ~ServeEngine destroy own_cv_) after this thread has released the
+    // mutex, i.e. after notify_all() is done with the condition variable.
+    LockGuard lock(own_mutex_);
+    if (--own_tasks_ == 0) own_cv_.notify_all();
 }
 
 void ServeEngine::wait_own_tasks() {

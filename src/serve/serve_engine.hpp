@@ -35,6 +35,16 @@
 // borrowed pool's global idle, so two engines sharing a pool tear down
 // independently.
 //
+// Completion notifier: an engine may be built with one callback that runs
+// after every promise it resolves asynchronously (resolve_ready/_outcome/
+// _error and degrade_inline), on whichever thread resolved it — a pool
+// worker, a drain, or the submitting thread.  The net reactor uses it to
+// wake its poll() loop instead of polling futures on a timer.  The plain
+// cache-hit fast path in submit() does not call it: that future is ready
+// before submit() returns, so there is nobody to wake.  The callback must
+// be cheap, must not throw, and must stay callable until the destructor
+// returns (pool closures still resolving after a timed-out drain call it).
+//
 // Concurrency notes (clang thread-safety checked, DESIGN §13): all waiter /
 // pending / inflight bookkeeping lives behind the AdmissionController's
 // single inflight_mutex_; promises are always resolved *outside* that lock.
@@ -56,6 +66,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -135,8 +146,12 @@ struct DrainReport {
 
 class ServeEngine {
 public:
-    /// The pool is borrowed and must outlive the engine.
-    ServeEngine(ServeConfig config, ThreadPool& pool);
+    /// Called after every asynchronously resolved promise (file header).
+    using CompletionNotifier = std::function<void()>;
+
+    /// The pool is borrowed and must outlive the engine; so must whatever
+    /// `on_resolved` touches.
+    ServeEngine(ServeConfig config, ThreadPool& pool, CompletionNotifier on_resolved = {});
 
     /// Drains with the configured drain_timeout_ms, then waits for this
     /// engine's *own* outstanding pool closures (never the borrowed pool's
@@ -218,6 +233,10 @@ private:
     void resolve_outcome(Waiter& waiter, ServeOutcome outcome);
     void resolve_error(Waiter& waiter, const std::exception_ptr& error);
     void resolve_shed_list(std::vector<ShedWaiter>& list);
+    /// Run the completion notifier (if any) after a promise resolved.
+    void notify_resolved() const {
+        if (on_resolved_) on_resolved_();
+    }
 
     /// Resolve a CompleteResult's tail: dequeue-expired pendings, then
     /// launch the promoted successor (if any).
@@ -234,6 +253,7 @@ private:
     std::unique_ptr<ScheduleCache> cache_;
     AdmissionController admission_;
     std::shared_ptr<ChaosHook> chaos_;  ///< copy of config_.chaos (hot-path load)
+    const CompletionNotifier on_resolved_;
 
     // Engine-local instrument registry plus cached references into it (the
     // references stay valid for the registry's lifetime, metrics.hpp), so

@@ -11,6 +11,7 @@
 
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
@@ -835,6 +836,128 @@ TEST(NetServer, TwoServersOnePoolIndependentDrain) {
 
     const auto alpha_report = alpha.stop();
     EXPECT_TRUE(alpha_report.clean);
+}
+
+/// Spin until `done()` holds or ten seconds pass; returns done().
+template <typename Pred>
+bool await(Pred done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return done();
+}
+
+// Completion wake: every reply to a window-1 miss is picked up because the
+// engine woke the loop, never because a poll() timeout ran out.  Counted,
+// not timed, so it holds under sanitizers and on a loaded host.
+TEST(NetServer, SequentialMissesAreWokenNotTicked) {
+    ThreadPool pool(2);
+    net::ServeServer server(loopback_config(), pool);
+    server.start();
+
+    net::ClientConfig client_config;
+    client_config.port = server.port();
+    net::ServeClient client(client_config);
+    for (std::uint64_t i = 0; i < 200; ++i) {
+        const auto reply = client.call(small_request(1000 + i));
+        ASSERT_TRUE(reply.ok());
+        ASSERT_FALSE(reply.response->cache_hit) << "request " << i;
+    }
+    EXPECT_EQ(server.engine_stats().computed, 200u);
+    EXPECT_EQ(server.stats().tick_pickups, 0u);
+    server.stop();
+}
+
+// Frames left buffered by the per-tick dispatch budget are dispatched on
+// the next tick without waiting for new socket bytes or a timer: with a
+// budget of 1, one burst of 16 pipelined cache hits must all be answered.
+TEST(NetServer, FramesBeyondTheTickBudgetAreDispatched) {
+    net::ServerConfig config = loopback_config();
+    config.max_requests_per_tick = 1;
+    ThreadPool pool(2);
+    net::ServeServer server(config, pool);
+    server.start();
+
+    net::ClientConfig client_config;
+    client_config.port = server.port();
+    net::ServeClient client(client_config);
+    ASSERT_TRUE(client.call(small_request(400)).ok());  // warm: the burst hits
+
+    std::string burst;
+    for (std::uint64_t id = 1000; id < 1016; ++id) {
+        net::WireRequest request;
+        request.id = id;
+        request.trace = small_request(400);
+        burst += net::encode_frame(FrameType::kRequest, net::encode_request(request));
+    }
+    client.send_raw(burst);  // one write: the frames arrive together
+    ASSERT_TRUE(await([&] { return server.stats().responses == 17; }))
+        << "buffered frames stalled in the decoder";
+    std::set<std::uint64_t> answered;
+    for (int i = 0; i < 16; ++i) {
+        const auto reply = client.recv();
+        ASSERT_TRUE(reply.ok());
+        EXPECT_TRUE(reply.response->cache_hit);
+        answered.insert(reply.id);
+    }
+    EXPECT_EQ(answered.size(), 16u);
+    EXPECT_EQ(server.stats().tick_pickups, 0u);
+    server.stop();
+}
+
+// A drain that times out leaves the stalled computation running after the
+// loop has exited.  Its completion must never write into a closed or
+// reused fd: the self-pipe lives as long as the server, so fds opened after
+// stop() never take its numbers, and no stray byte reaches them.
+TEST(NetServer, LateCompletionAfterDrainTimeoutTouchesNoReusedFd) {
+    auto chaos = std::make_shared<serve::DeterministicChaos>(
+        serve::ChaosOptions{.gate_stalls = true, .gate_all = true});
+    net::ServerConfig config = loopback_config();
+    config.engine.chaos = chaos;
+    config.engine.drain_timeout_ms = 20.0;
+    ThreadPool pool(2);
+
+    // pipe(2) hands out the two lowest free numbers, so the server's
+    // self-pipe, created first thing in its constructor, takes these.
+    int next_pipe[2] = {-1, -1};
+    ASSERT_EQ(::pipe(next_pipe), 0);
+    ::close(next_pipe[0]);
+    ::close(next_pipe[1]);
+    auto server = std::make_unique<net::ServeServer>(config, pool);
+    server->start();
+
+    net::ClientConfig client_config;
+    client_config.port = server->port();
+    net::ServeClient client(client_config);
+    const std::uint64_t id = client.send(small_request(500));
+    ASSERT_TRUE(await([&] { return chaos->stats().stalls == 1; }));
+
+    const auto report = server->stop();  // drain times out on the stall
+    EXPECT_FALSE(report.engine.clean);
+    EXPECT_EQ(report.engine.forced_waiters, 1u);
+    const auto reply = client.recv();
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply.id, id);
+    EXPECT_EQ(reply.response->outcome, serve::ServeOutcome::kDraining);
+
+    std::vector<net::Pipe> probes;
+    for (int i = 0; i < 8; ++i) {
+        probes.push_back(net::make_nonblocking_pipe());
+        for (const int fd : {probes.back().read.get(), probes.back().write.get()}) {
+            EXPECT_NE(fd, next_pipe[0]) << "self-pipe closed while the engine lives";
+            EXPECT_NE(fd, next_pipe[1]) << "self-pipe closed while the engine lives";
+        }
+    }
+
+    chaos->release_stalls();  // the late completion runs now
+    EXPECT_TRUE(await([&] { return server->engine_stats().computed == 1; }));
+    server.reset();  // joins the engine's last closure, then closes the pipe
+
+    for (const net::Pipe& probe : probes) {
+        char byte = 0;
+        EXPECT_EQ(::read(probe.read.get(), &byte, 1), -1) << "stray byte in a reused fd";
+        EXPECT_EQ(errno, EAGAIN);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -374,12 +374,51 @@ TEST(ServeEngine, NullProblemIsRejectedUpFront) {
     EXPECT_THROW((void)engine.submit(std::move(request)), std::invalid_argument);
 }
 
+TEST(ServeEngine, CompletionNotifierRunsAfterEveryAsynchronousResolution) {
+    ThreadPool pool(2);
+    std::atomic<int> notified{0};
+    {
+        serve::ServeEngine engine(serve::ServeConfig{}, pool, [&] { ++notified; });
+        EXPECT_EQ(engine.serve(make_request()).outcome, serve::ServeOutcome::kOk);  // miss
+        EXPECT_TRUE(engine.serve(make_request()).cache_hit);  // ready on return: no wake
+        auto failing = engine.submit(make_request("no-such-algorithm"));
+        EXPECT_THROW((void)failing.get(), std::exception);
+        (void)engine.drain(/*timeout_ms=*/0.0);
+        auto late = make_request();
+        late.problem = make_problem(9.0);
+        EXPECT_EQ(engine.serve(std::move(late)).outcome, serve::ServeOutcome::kDraining);
+    }  // the notifier runs after set_value, so count only once the engine is gone
+    EXPECT_EQ(notified.load(), 3);  // miss + error + draining
+}
+
+TEST(ServeEngine, TeardownRightAfterCompletion) {
+    // get() returns as soon as the worker resolves the promise; the worker
+    // then still retires its own-task count.  Destroying the engine right
+    // away must not race that (the condition variable it notifies dies with
+    // the engine).  TSan flags the race if own_task_end() notifies after
+    // releasing its lock.
+    ThreadPool pool(2);
+    for (int round = 0; round < 200; ++round) {
+        std::atomic<int> notified{0};
+        {
+            serve::ServeEngine engine(serve::ServeConfig{}, pool, [&] { ++notified; });
+            const auto result = engine.submit(make_request()).get();  // one cache miss
+            ASSERT_EQ(result.outcome, serve::ServeOutcome::kOk);
+            ASSERT_FALSE(result.cache_hit);
+        }
+        ASSERT_EQ(notified.load(), 1) << "round " << round;
+    }
+}
+
 TEST(ServeEngine, MetricsSnapshotMergesEngineCacheAndPool) {
     ThreadPool pool(2);
     serve::ServeEngine engine(serve::ServeConfig{}, pool);
     for (int i = 0; i < 3; ++i) {
         ASSERT_NE(engine.serve(make_request()).schedule, nullptr);
     }
+    // serve() returns once the promise is set, but the pool counts the task
+    // only after it returns: wait for that bookkeeping before snapshotting.
+    pool.wait_idle();
     const obs::MetricsSnapshot snap = engine.metrics_snapshot();
 
     const auto counter = [&snap](const std::string& name) -> std::uint64_t {
